@@ -9,9 +9,10 @@ instrumented through the :class:`RuntimeProbe` seam and fronted by the
 
 Observability rides on the probe seam: :class:`TracingProbe` /
 :class:`TraceRecorder` (``runtime/trace.py``) record causal event
-traces with per-phase latency histograms, and :class:`TraceChecker`
-(``runtime/checker.py``) replays a recorded trace offline to verify
-the paper's integrity and convergence obligations.
+traces with per-phase latency histograms, and :class:`StreamingChecker`
+(``runtime/stream_checker.py``) verifies the paper's integrity, order
+and convergence obligations — live, or over a recorded trace through
+the :class:`TraceChecker` driver (``runtime/checker.py``).
 """
 
 from .applier import ApplyEngine

@@ -1,48 +1,31 @@
-"""Offline trace analyzer: replay a flight-recorder trace and check
-the paper's Figure-5/Figure-7 obligations against what actually ran.
+"""Offline trace checking: a recorded trace through the one engine.
 
-:class:`TraceChecker` consumes the rule events of a recorded trace
-(:mod:`repro.runtime.trace`) in their global order and re-derives every
-node's state, asserting three obligations:
+:class:`TraceChecker` checks a flight-recorder trace
+(:mod:`repro.runtime.trace`) against the paper's Figure-5/Figure-7
+obligations — Lemma-1 integrity, one total order per sync group, and
+Lemma-2 convergence.  It holds no checking logic of its own: it orders
+the events, rebuilds the founding roster, and feeds them through
+:class:`~repro.runtime.stream_checker.StreamingChecker`, the same
+engine that checks a run live.  A trace truncated by the recorder's
+bounded ring buffer cannot attest convergence; the report says so
+instead of silently passing.
 
-1. **Integrity (Lemma 1)** — every applied update was *permissible at
-   its apply state*: for each rule event, folding the call into the
-   applying node's replayed state must preserve the invariant (for
-   REDUCE the summary is visible at every node, so the check runs at
-   all of them).  It also rejects double-application of one call at one
-   node (the runtime's dedup obligation).
-2. **Total order per synchronization group** — the conflicting calls of
-   one sync group must be applied in a single total order on all nodes:
-   the per-node apply sequences, restricted to any pair's common calls,
-   may not contain an inversion.
-3. **Convergence (Lemma 2)** — at quiescence every node has applied the
-   same set of calls and all replayed states are equal under
-   ``spec.state_eq``.
-
-Violations carry the *causal event chain* — every recorded event
-(spans, ring transfers, rule instants) mentioning the offending call —
-so a report points from the failed obligation back to where the call
-was issued, which rings it crossed, and where it was applied.
-
-A trace truncated by the recorder's bounded ring buffer cannot attest
-convergence; the checker reports that as a violation instead of
-silently passing.
-
-Chaos runs additionally record ``fault`` events (injected by
-:mod:`repro.sim.faults`) and ``repair`` events (emitted when a node
-detects a CRC-failed ring record and heals it from an authoritative
-copy).  The checker tallies both so a report correlates *injected* ⇒
-*detected* ⇒ *repaired*: a corruption campaign that converged with
-zero repairs either never landed or was silently absorbed, and either
-way the tally makes that visible.
+:class:`ShardedTraceChecker` runs that driver once per shard and adds
+the cross-shard atomicity obligations over the transaction stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
-from ..core import Call, Coordination
+from ..core import Coordination
+from .stream_checker import (
+    CheckReport,
+    StreamingChecker,
+    Violation,
+    describe_drops,
+)
 from .trace import LoadedTrace, TraceEvent, load_jsonl
 
 __all__ = [
@@ -53,79 +36,9 @@ __all__ = [
     "Violation",
 ]
 
-#: Rules that mutate σ at exactly the event's node.
-_LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
-
-
-@dataclass
-class Violation:
-    """One failed obligation, with the offending call's event chain."""
-
-    kind: str  # integrity | duplicate | order | convergence |
-    #            truncated | vocabulary
-    message: str
-    chain: list[TraceEvent] = field(default_factory=list)
-
-    def render(self) -> str:
-        lines = [f"[{self.kind}] {self.message}"]
-        for event in self.chain:
-            lines.append(
-                f"    t={event.t:<12.3f} {event.node:>4s} "
-                f"{event.kind:>4s} {event.name:<10s} "
-                f"{event.method}@{event.call_id()}"
-            )
-        return "\n".join(lines)
-
-
-@dataclass
-class CheckReport:
-    """The outcome of one offline trace check."""
-
-    nodes: list[str]
-    calls_checked: int = 0
-    applies_checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    #: Injected-fault tally by fault kind (``corrupt``, ``torn``,
-    #: ``crash``, ...), from the trace's ``fault`` events.
-    faults: dict[str, int] = field(default_factory=dict)
-    #: Repair tally by corruption classification (``bitflip``,
-    #: ``torn``, ``scrub``), from the trace's ``repair`` events.
-    repairs: dict[str, int] = field(default_factory=dict)
-    #: Which checker produced this report ("trace check" offline,
-    #: "stream check" for the in-run streaming checker).
-    label: str = "trace check"
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        head = (
-            f"{self.label}: {len(self.nodes)} nodes, "
-            f"{self.calls_checked} calls, "
-            f"{self.applies_checked} applies -> "
-            f"{'OK' if self.ok else f'{len(self.violations)} violation(s)'}"
-        )
-        if self.faults or self.repairs:
-            head += (
-                f" | faults {self._tally(self.faults)}"
-                f" repaired {self._tally(self.repairs)}"
-            )
-        if self.ok:
-            return head
-        return "\n".join([head] + [v.render() for v in self.violations])
-
-    @staticmethod
-    def _tally(counts: dict[str, int]) -> str:
-        if not counts:
-            return "none"
-        return ",".join(
-            f"{kind}={count}" for kind, count in sorted(counts.items())
-        )
-
 
 class TraceChecker:
-    """Replays recorded rule events against the object specification."""
+    """Checks a whole recorded trace with :class:`StreamingChecker`."""
 
     def __init__(self, coordination: Coordination,
                  processes: Optional[Iterable[str]] = None,
@@ -134,8 +47,6 @@ class TraceChecker:
         self.spec = coordination.spec
         self.processes = sorted(processes) if processes else None
         self.max_violations = max_violations
-
-    # -- entry points ----------------------------------------------------
 
     def check_jsonl(self, path: str) -> CheckReport:
         """Check a trace previously exported with ``export_jsonl``."""
@@ -150,15 +61,11 @@ class TraceChecker:
               processes: Optional[Iterable[str]] = None,
               gaps: Iterable[tuple] = ()) -> CheckReport:
         events = sorted(events, key=lambda event: event.seq)
-        nodes = sorted(processes or self.processes or {
+        nodes = set(processes or self.processes or {
             event.node for event in events
         })
-        # Elastic membership: the declared node list names the FINAL
-        # roster (joiners included, departed excluded).  Reconstruct the
-        # founding roster from the member events, then evolve it during
-        # the replay — a joiner's state begins at its ``member_join``
-        # event, a departed node stops being held to convergence at its
-        # ``member_leave``.
+        # The declared roster is the FINAL one (joiners in, departed
+        # out); the stream starts from the founding roster.
         joins = {
             event.origin for event in events
             if event.kind == "member" and event.name == "member_join"
@@ -167,241 +74,15 @@ class TraceChecker:
             event.origin for event in events
             if event.kind == "member" and event.name == "member_leave"
         }
-        initial = sorted((set(nodes) | leaves) - joins)
-        report = CheckReport(nodes=nodes)
-        if not initial:
-            report.violations.append(
-                Violation("vocabulary", "empty trace: no nodes recorded")
-            )
-            return report
-
-        chains: dict[tuple[str, int], list[TraceEvent]] = {}
-        for event in events:
-            chains.setdefault((event.origin, event.rid), []).append(event)
-
-        def chain(origin: str, rid: int) -> list[TraceEvent]:
-            return chains.get((origin, rid), [])
-
-        def report_violation(kind: str, message: str,
-                             chain_events: list[TraceEvent]) -> None:
-            if len(report.violations) < self.max_violations:
-                report.violations.append(
-                    Violation(kind, message, chain_events)
-                )
-
-        sigma: dict[str, Any] = {
-            node: self.spec.initial_state() for node in initial
-        }
-        applied: dict[str, set[tuple[str, int]]] = {
-            node: set() for node in initial
-        }
-        #: Nodes currently part of the cluster (evolves at member
-        #: events); convergence is only owed by the final roster.
-        present: set[str] = set(initial)
-        departed: set[str] = set()
-        #: Every REDUCE replayed so far, in order — a joiner's state
-        #: transfer pulls the summary slots, so its replayed state must
-        #: start from these (it will never see their rule events).
-        reduced: list[tuple[tuple[str, int], Call]] = []
-        #: Per-(gid, node) apply order of conflicting calls.
-        group_order: dict[tuple[str, str], list[tuple[str, int]]] = {}
-        seen_calls: set[tuple[str, int]] = set()
-
-        for event in events:
-            if event.kind == "member":
-                subject = event.origin
-                if event.name == "member_join":
-                    if subject not in sigma:
-                        state = self.spec.initial_state()
-                        seeded: set[tuple[str, int]] = set()
-                        for red_key, red_call in reduced:
-                            state = self.spec.apply_call(red_call, state)
-                            seeded.add(red_key)
-                        sigma[subject] = state
-                        applied[subject] = seeded
-                    present.add(subject)
-                    departed.discard(subject)
-                elif event.name == "member_leave":
-                    present.discard(subject)
-                    departed.add(subject)
-                continue  # state_xfer and friends are informational
-            if event.kind == "fault":
-                report.faults[event.name] = (
-                    report.faults.get(event.name, 0) + 1
-                )
-                continue
-            if event.kind == "repair":
-                report.repairs[event.name] = (
-                    report.repairs.get(event.name, 0) + 1
-                )
-                continue
-            if event.kind != "rule" or event.name == "QUERY":
-                continue
-            rule = event.name
-            key = (event.origin, event.rid)
-            call = Call(event.method, event.arg, event.origin, event.rid)
-            if event.node not in sigma:
-                report_violation(
-                    "vocabulary",
-                    f"event at unknown node {event.node!r}",
-                    chain(*key),
-                )
-                continue
-            if rule == "REDUCE":
-                seen_calls.add(key)
-                report.applies_checked += 1
-                if key in applied[event.node]:
-                    report_violation(
-                        "duplicate",
-                        f"{call} reduced twice at {event.node}",
-                        chain(*key),
-                    )
-                    continue
-                # A summary write is visible at every node (refinement:
-                # REDUCE = CALL at origin + immediate PROP everywhere).
-                # Departed nodes no longer see summary writes.
-                reduced.append((key, call))
-                for node in sorted(present):
-                    next_state = self.spec.apply_call(call, sigma[node])
-                    if not self.spec.invariant(next_state):
-                        report_violation(
-                            "integrity",
-                            f"{call} (REDUCE at {event.node}) breaks the "
-                            f"invariant at {node}",
-                            chain(*key),
-                        )
-                    sigma[node] = next_state
-                    applied[node].add(key)
-            elif rule in _LOCAL_APPLY_RULES:
-                seen_calls.add(key)
-                report.applies_checked += 1
-                node = event.node
-                if key in applied[node]:
-                    report_violation(
-                        "duplicate",
-                        f"{call} applied twice at {node} (rule {rule})",
-                        chain(*key),
-                    )
-                    continue
-                next_state = self.spec.apply_call(call, sigma[node])
-                if not self.spec.invariant(next_state):
-                    report_violation(
-                        "integrity",
-                        f"{call} not permissible at its apply state "
-                        f"({rule} at {node})",
-                        chain(*key),
-                    )
-                sigma[node] = next_state
-                applied[node].add(key)
-                if rule in ("CONF", "CONF_APP"):
-                    group = self.coordination.sync_group(event.method)
-                    if group is None:
-                        report_violation(
-                            "vocabulary",
-                            f"{rule} event for conflict-free method "
-                            f"{event.method!r} at {node}",
-                            chain(*key),
-                        )
-                    else:
-                        group_order.setdefault(
-                            (group.gid, node), []
-                        ).append(key)
-            else:
-                report_violation(
-                    "vocabulary",
-                    f"unknown rule {rule!r} at {event.node}",
-                    chain(*key),
-                )
-        report.calls_checked = len(seen_calls)
-        report.nodes = sorted(present)
-
-        # The total-order obligation holds for every node that was ever
-        # a member — a departed node's (partial) order must still agree.
-        self._check_group_orders(report, group_order, chain, sorted(sigma))
-        # Convergence is owed only by the final roster: a departed node
-        # legitimately froze mid-history.
-        self._check_convergence(
-            report, sigma, applied, chain, sorted(present), dropped, gaps
+        # strict_seq off: a recorded trace reports its losses through
+        # ``dropped``/``gaps``, and filtered traces have seq holes.
+        checker = StreamingChecker(
+            self.coordination, processes=(nodes | leaves) - joins,
+            max_violations=self.max_violations, strict_seq=False,
         )
+        report = checker.check(events, dropped=dropped, gaps=gaps)
+        report.label = "trace check"
         return report
-
-    # -- obligation 2: one total order per sync group --------------------
-
-    def _check_group_orders(self, report, group_order, chain, nodes):
-        gids = sorted({gid for gid, _node in group_order})
-        for gid in gids:
-            sequences = [
-                (node, group_order.get((gid, node), []))
-                for node in nodes
-            ]
-            for i, (node_a, seq_a) in enumerate(sequences):
-                positions = {key: idx for idx, key in enumerate(seq_a)}
-                for node_b, seq_b in sequences[i + 1:]:
-                    common = [key for key in seq_b if key in positions]
-                    last = -1
-                    for key in common:
-                        if positions[key] < last:
-                            prev = next(
-                                k for k, idx in positions.items()
-                                if idx == last
-                            )
-                            report.violations.append(Violation(
-                                "order",
-                                f"sync group {gid}: {node_a} applied "
-                                f"{key[0]}#{key[1]} before "
-                                f"{prev[0]}#{prev[1]} but {node_b} "
-                                f"applied them in the opposite order",
-                                chain(*key) + chain(*prev),
-                            ))
-                            break
-                        last = positions[key]
-
-    # -- obligation 3: convergence at quiescence -------------------------
-
-    def _check_convergence(self, report, sigma, applied, chain, nodes,
-                           dropped, gaps=()):
-        if dropped:
-            detail = f"trace dropped {dropped} event(s)"
-            gap_list = [tuple(gap) for gap in gaps]
-            if gap_list:
-                shown = ", ".join(
-                    f"gap at seq {gap[0]}..{gap[1]}"
-                    for gap in gap_list[:5]
-                )
-                if len(gap_list) > 5:
-                    shown += f", … ({len(gap_list)} gaps)"
-                detail += f" — {shown}"
-            report.violations.append(Violation(
-                "truncated",
-                detail + ": cannot attest convergence (raise the "
-                "recorder capacity)",
-            ))
-            return
-        if not nodes:
-            return  # everyone scaled in: nobody owes convergence
-        union: set[tuple[str, int]] = set()
-        for node in nodes:
-            union |= applied[node]
-        for node in nodes:
-            missing = union - applied[node]
-            for key in sorted(missing)[:3]:
-                report.violations.append(Violation(
-                    "convergence",
-                    f"{node} never applied {key[0]}#{key[1]} "
-                    f"({len(missing)} call(s) missing at {node})",
-                    chain(*key),
-                ))
-        if any(applied[node] != union for node in nodes):
-            return  # states legitimately differ when calls are missing
-        base = nodes[0]
-        for node in nodes[1:]:
-            if not self.spec.state_eq(sigma[base], sigma[node]):
-                report.violations.append(Violation(
-                    "convergence",
-                    f"equal histories but diverged states: "
-                    f"{base} != {node} "
-                    f"({sigma[base]!r} vs {sigma[node]!r})",
-                ))
 
 
 # -- sharded topologies -----------------------------------------------------
@@ -501,17 +182,10 @@ class ShardedTraceChecker:
                 shard_events.get(shard, [])
             )
         if dropped:
-            detail = f"trace dropped {dropped} event(s)"
-            gap_list = [tuple(gap) for gap in gaps]
-            if gap_list:
-                detail += " — " + ", ".join(
-                    f"gap at seq {gap[0]}..{gap[1]}"
-                    for gap in gap_list[:5]
-                )
             report.violations.append(Violation(
                 "truncated",
-                detail + ": cannot attest cross-shard atomicity "
-                "(raise the recorder capacity)",
+                describe_drops(dropped, gaps) + ": cannot attest "
+                "cross-shard atomicity (raise the recorder capacity)",
             ))
         self._check_atomicity(report, shard_events, list(txn_events))
         return report

@@ -1,21 +1,32 @@
-"""Streaming trace checker: verify a run *while* it executes.
+"""The trace checker: verify a run's obligations, live or offline.
 
-The offline :class:`~repro.runtime.checker.TraceChecker` replays a
-whole recorded trace in memory, so its cost and footprint grow with
-trace length — it cannot attest a long-running, million-op serving
-run.  :class:`StreamingChecker` reformulates the same three
-obligations (Lemma-1 integrity, one total order per synchronization
-group, Lemma-2 convergence) as an *incremental, windowed* analysis in
-the style of replication-aware linearizability (Enea et al.): the
-compositional per-object criterion makes it sound to verify each sync
-group's obligations over a bounded window of in-flight calls,
-checkpoint the verified prefix, and discard it.
+:class:`StreamingChecker` is the one engine that checks the paper's
+Figure-5/Figure-7 obligations against what actually ran:
 
-Feed it events online — tapped directly off the per-node
-:class:`~repro.runtime.trace.TracingProbe`\\ s via
-:meth:`~repro.runtime.trace.TraceRecorder.stream_to`, or tailing a
-JSONL stream — in global sequence order.  Memory is bounded by the
-*window* (calls issued but not yet applied everywhere), not the trace:
+1. **Integrity (Lemma 1)** — every applied update was permissible at
+   its apply state (folding the call into the applying node's replayed
+   state preserves the invariant; REDUCE is checked at every node), and
+   no call is applied twice at one node;
+2. **Total order per synchronization group** — the conflicting calls of
+   one sync group are applied in a single order on every node that was
+   ever a member;
+3. **Convergence (Lemma 2)** — at the end every current member has
+   applied the same calls and all replayed states are equal under
+   ``spec.state_eq``.
+
+It is an *incremental, windowed* analysis in the style of
+replication-aware linearizability (Enea et al.): the compositional
+per-object criterion makes it sound to verify each sync group's
+obligations over a bounded window of in-flight calls, checkpoint the
+verified prefix, and discard it.  The offline
+:class:`~repro.runtime.checker.TraceChecker` is a thin driver that
+feeds a recorded trace through this same engine.
+
+Feed it events in global sequence order — tapped directly off the
+per-node :class:`~repro.runtime.trace.TracingProbe`\\ s via
+:meth:`~repro.runtime.trace.TraceRecorder.stream_to`, tailing a JSONL
+stream, or from a recorded trace.  Memory is bounded by the *window*
+(calls issued but not yet applied everywhere), not the trace:
 
 - a call **retires** once every node has applied it (REDUCE retires
   immediately — a summary write is visible everywhere at once); its
@@ -31,11 +42,21 @@ JSONL stream — in global sequence order.  Memory is bounded by the
 - convergence is asserted at :meth:`finish` over the residual window —
   every retired call was applied everywhere by construction.
 
+Elastic membership: a ``member_join`` seeds the joiner's state from the
+running REDUCE fold (its state transfer pulls the summary slots) and
+its catch-up applies of retired calls are deduplicated exactly per
+origin; a ``member_leave`` excuses the node from convergence, but the
+group order it applied stays in the window until those calls retire.
+
+Violations carry the offending call's *causal event chain* (its most
+recent spans, ring transfers and rule events).  Chaos runs also record
+``fault`` and ``repair`` events; the report tallies both so a run
+correlates *injected* ⇒ *detected* ⇒ *repaired*.
+
 Sequence-number continuity doubles as gap detection: a jump in ``seq``
 means events were lost upstream (a :class:`TracingProbe` ring drop),
 and the checker reports ``gap at seq N..M`` explicitly — and declines
-to attest convergence, exactly like the offline checker on a truncated
-trace — instead of failing opaquely.
+to attest convergence — instead of failing opaquely.
 
 :class:`CheckpointState` snapshots the full checker state (replayed
 states, retired intervals, window, group frontiers, violations so far)
@@ -50,25 +71,107 @@ import base64
 import bisect
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any, Iterable, Optional
 
 from ..core import Call, Coordination
-from .checker import CheckReport, Violation
 from .trace import TraceEvent, event_from_dict, event_to_dict, iter_jsonl
 from .wire import decode_value, encode_value
 
 __all__ = [
+    "CheckReport",
     "CheckpointState",
     "StreamingChecker",
+    "Violation",
 ]
 
 #: Rules that mutate σ at exactly the event's node.
 _LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
 
 #: Per-call causal-chain cap: violations carry at most this many of the
-#: call's most recent events (the offline checker keeps every event of
-#: every call — exactly what a streaming checker must not do).
+#: call's most recent events, so chains never grow with the trace.
 _CHAIN_LIMIT = 48
+
+
+@dataclass
+class Violation:
+    """One failed obligation, with the offending call's event chain."""
+
+    kind: str  # integrity | duplicate | order | convergence |
+    #            truncated | vocabulary
+    message: str
+    chain: list[TraceEvent] = field(default_factory=list)
+
+    def render(self) -> str:
+        lines = [f"[{self.kind}] {self.message}"]
+        for event in self.chain:
+            lines.append(
+                f"    t={event.t:<12.3f} {event.node:>4s} "
+                f"{event.kind:>4s} {event.name:<10s} "
+                f"{event.method}@{event.call_id()}"
+            )
+        return "\n".join(lines)
+
+
+@dataclass
+class CheckReport:
+    """The outcome of one trace check."""
+
+    nodes: list[str]
+    calls_checked: int = 0
+    applies_checked: int = 0
+    violations: list[Violation] = field(default_factory=list)
+    #: Injected-fault tally by fault kind (``corrupt``, ``torn``,
+    #: ``crash``, ...), from the trace's ``fault`` events.
+    faults: dict[str, int] = field(default_factory=dict)
+    #: Repair tally by corruption classification (``bitflip``,
+    #: ``torn``, ``scrub``), from the trace's ``repair`` events.
+    repairs: dict[str, int] = field(default_factory=dict)
+    #: Which entry point produced this report ("trace check" for a
+    #: recorded trace, "stream check" for the in-run checker).
+    label: str = "trace check"
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        head = (
+            f"{self.label}: {len(self.nodes)} nodes, "
+            f"{self.calls_checked} calls, "
+            f"{self.applies_checked} applies -> "
+            f"{'OK' if self.ok else f'{len(self.violations)} violation(s)'}"
+        )
+        if self.faults or self.repairs:
+            head += (
+                f" | faults {self._tally(self.faults)}"
+                f" repaired {self._tally(self.repairs)}"
+            )
+        if self.ok:
+            return head
+        return "\n".join([head] + [v.render() for v in self.violations])
+
+    @staticmethod
+    def _tally(counts: dict[str, int]) -> str:
+        if not counts:
+            return "none"
+        return ",".join(
+            f"{kind}={count}" for kind, count in sorted(counts.items())
+        )
+
+
+def describe_drops(dropped: int, gaps: Iterable[tuple]) -> str:
+    """``trace dropped N event(s) — gap at seq a..b, …`` for a
+    ``truncated`` violation (at most five gaps are spelled out)."""
+    gap_list = [tuple(gap) for gap in gaps]
+    detail = f"trace dropped {dropped} event(s)"
+    if gap_list:
+        detail += " — " + ", ".join(
+            f"gap at seq {gap[0]}..{gap[1]}" for gap in gap_list[:5]
+        )
+        if len(gap_list) > 5:
+            detail += f", … ({len(gap_list)} gaps)"
+    return detail
 
 
 class _IntervalSet:
@@ -214,7 +317,7 @@ class StreamingChecker:
         self.max_violations = max_violations
         #: When True, a jump in sequence numbers is recorded as a gap
         #: (events lost upstream).  Turn off to accept re-sequenced or
-        #: filtered streams the way the offline checker does.
+        #: filtered streams (recorded traces report drops themselves).
         self.strict_seq = strict_seq
 
         self.sigma: dict[str, Any] = {
@@ -433,7 +536,10 @@ class StreamingChecker:
         running REDUCE fold (its state transfer pulls the summary
         slots); its apply events then replay the transferred history.
         ``member_leave`` excuses the node from convergence: in-window
-        calls stop waiting for it, and its group-order structures drop.
+        calls stop waiting for it, but its group-order entries stay
+        until those calls retire, so the order it applied is still
+        compared with what the remaining nodes apply later.  (A
+        departed name never rejoins: the runtime refuses it.)
         """
         subject = event.origin
         if event.name == "member_join":
@@ -456,33 +562,16 @@ class StreamingChecker:
             self._departed.add(subject)
             self.sigma.pop(subject, None)
             self._joiner_caught.pop(subject, None)
-            self._drop_node(subject)
+            for state in self.inflight.values():
+                state.applied.discard(subject)
+            # Conflict-free calls now applied at every remaining node
+            # retire; group calls through the usual common-prefix drain.
+            for key, state in list(self.inflight.items()):
+                if not state.gid and len(state.applied) == len(self.nodes):
+                    self._retire(key, state)
+            for gid in list(self._group_queues):
+                self._drain_group(gid)
         # state_xfer and friends are informational
-
-    def _drop_node(self, name: str) -> None:
-        """Sweep the window after ``name`` left the cluster."""
-        for queues in self._group_queues.values():
-            queues.pop(name, None)
-        self._group_counts = {
-            (gid, node): count
-            for (gid, node), count in self._group_counts.items()
-            if node != name
-        }
-        self._group_pairs = {
-            (gid, a, b): pairs
-            for (gid, a, b), pairs in self._group_pairs.items()
-            if name not in (a, b)
-        }
-        for state in self.inflight.values():
-            state.applied.discard(name)
-            state.group_pos.pop(name, None)
-        # Conflict-free calls now applied at every remaining node retire;
-        # group calls retire through the usual common-prefix drain.
-        for key, state in list(self.inflight.items()):
-            if not state.gid and len(state.applied) == len(self.nodes):
-                self._retire(key, state)
-        for gid in list(self._group_queues):
-            self._drain_group(gid)
 
     # -- sync-group total order (obligation 2, incremental) --------------
 
@@ -528,36 +617,35 @@ class StreamingChecker:
     def _drain_group(self, gid: str) -> None:
         """Retire the group's verified common prefix.
 
-        A group call leaves the window only when it heads *every*
-        node's unretired apply order and is applied everywhere — so a
+        A group call leaves the window only when it heads the unretired
+        apply order of *every* node that applied it — departed nodes
+        included — and every current node has applied it.  So a
         retired call can never be the missing half of a future
         inversion, and the pairwise structures shrink from the front.
         """
         queues = self._group_queues.get(gid)
-        if queues is None:
+        if queues is None or not self.nodes:
             return
         while True:
-            if len(queues) < len(self.nodes):
+            first = queues.get(self.nodes[0])
+            if not first:
                 return  # some node has not applied any group call yet
-            heads = {queue[0] if queue else None for queue in queues.values()}
-            if len(heads) != 1:
-                return
-            (head,) = heads
-            if head is None:
-                return
+            head = first[0]
             state = self.inflight.get(head)
-            if state is None or len(state.applied) < len(self.nodes):
+            if state is None:
                 return
-            for node, queue in queues.items():
-                queue.pop(0)
-                other_nodes = [m for m in state.group_pos if m != node]
-                for other in other_nodes:
-                    a, b = (node, other) if node < other else (other, node)
-                    pairs = self._group_pairs.get((gid, a, b))
-                    if not pairs:
-                        continue
-                    pos_a = state.group_pos[a]
-                    index = bisect.bisect_left(pairs, (pos_a,))
+            holders = self._node_set.union(state.group_pos)
+            for node in holders:
+                queue = queues.get(node)
+                if not queue or queue[0] != head:
+                    return
+            positions = state.group_pos
+            for node in holders:
+                queues[node].pop(0)
+            for a, b in combinations(sorted(positions), 2):
+                pairs = self._group_pairs.get((gid, a, b))
+                if pairs:
+                    index = bisect.bisect_left(pairs, (positions[a],))
                     if index < len(pairs) and pairs[index][2] == head:
                         pairs.pop(index)
             self._retire(head, state)
@@ -645,9 +733,9 @@ class StreamingChecker:
         ``dropped``/``gaps`` fold in drop accounting from an upstream
         recorder (tap mode sees every event, so both default to zero);
         gaps the checker inferred from sequence discontinuities are
-        reported either way.  Like the offline checker, a stream with
-        losses cannot attest convergence — integrity, order, and
-        duplicate findings stand regardless.
+        reported either way.  A stream with losses cannot attest
+        convergence — integrity, order, and duplicate findings stand
+        regardless.
         """
         report = CheckReport(nodes=list(self.nodes), label="stream check")
         report.calls_checked = self.calls_checked
@@ -664,24 +752,23 @@ class StreamingChecker:
             return report
         all_gaps = [(int(g[0]), int(g[1])) for g in self.gaps]
         all_gaps += [(int(g[0]), int(g[1])) for g in gaps]
-        missing = sum(hi - lo + 1 for lo, hi in self.gaps)
         if dropped or all_gaps:
-            detail = f"stream dropped {dropped or missing} event(s)"
-            if all_gaps:
-                shown = ", ".join(
-                    f"gap at seq {lo}..{hi}" for lo, hi in all_gaps[:5]
-                )
-                if len(all_gaps) > 5:
-                    shown += f", … ({len(all_gaps)} gaps)"
-                detail += f" — {shown}"
-            detail += ": cannot attest convergence"
-            report.violations.append(Violation("truncated", detail))
+            missing = sum(hi - lo + 1 for lo, hi in self.gaps)
+            report.violations.append(Violation(
+                "truncated",
+                describe_drops(dropped or missing, all_gaps)
+                + ": cannot attest convergence",
+            ))
             self._finished = report
             return report
-        union = set(self.inflight)
+        # A call only a departed node applied is owed by nobody.
+        owed = {
+            key: state for key, state in self.inflight.items()
+            if state.applied
+        }
         for node in self.nodes:
             node_missing = sorted(
-                key for key, state in self.inflight.items()
+                key for key, state in owed.items()
                 if node not in state.applied
             )
             for key in node_missing[:3]:
@@ -691,11 +778,8 @@ class StreamingChecker:
                     f"({len(node_missing)} call(s) missing at {node})",
                     self._chain(key),
                 ))
-        fully_applied = all(
-            len(state.applied) == len(self.nodes)
-            for state in self.inflight.values()
-        )
-        if union and not fully_applied:
+        if any(len(state.applied) < len(self.nodes)
+               for state in owed.values()):
             self._finished = report
             return report
         base = self.nodes[0]

@@ -31,7 +31,7 @@ from repro.runtime import (
     TraceRecorder,
 )
 from repro.runtime.trace import TraceEvent
-from repro.sim import PLAN_NAMES, Environment, FaultPlan
+from repro.sim import GRAY_PLAN_NAMES, PLAN_NAMES, Environment, FaultPlan
 from repro.workload import DriverConfig, run_workload
 
 
@@ -82,17 +82,28 @@ def offline_verdict(cluster, events):
     return checker.check(events)
 
 
+#: Gray-failure and membership presets, pinned at a longer horizon so
+#: their fault windows overlap live traffic.  scale-out-partition on
+#: courseware is left out: its joiner never applies the L-ring backlog
+#: and the run never quiesces — a runtime defect, not a checker one
+#: (tracked in ROADMAP.md).
+LATE_PLAN_CELLS = [
+    (plan_name, workload)
+    for plan_name in GRAY_PLAN_NAMES + ("scale-in-leader",)
+    for workload in ("gset", "courseware")
+] + [("scale-out-partition", "gset")]
+
+
 class TestChaosEquivalence:
     """Every named CI fault plan: live verdict == replay verdict."""
 
-    @pytest.mark.parametrize("plan_name", PLAN_NAMES)
-    @pytest.mark.parametrize("workload", ["gset", "courseware"])
-    def test_named_plan_stream_matches_offline(self, plan_name, workload):
+    def assert_stream_matches_offline(self, plan_name, workload,
+                                      horizon_us):
         config = ExperimentConfig(
             system="hamband", workload=workload, n_nodes=4,
             total_ops=300, update_ratio=0.25, seed=2,
         )
-        plan = FaultPlan.named(plan_name, horizon_us=500.0)
+        plan = FaultPlan.named(plan_name, horizon_us=horizon_us)
         run = run_chaos(config, plan, live_check=True)
         assert run.stream_report is not None
         offline = run.check()
@@ -103,6 +114,16 @@ class TestChaosEquivalence:
         assert run.stream_report.calls_checked == offline.calls_checked
         assert run.stream_report.applies_checked == offline.applies_checked
         assert offline.ok, offline.summary()
+
+    @pytest.mark.parametrize("plan_name", PLAN_NAMES)
+    @pytest.mark.parametrize("workload", ["gset", "courseware"])
+    def test_named_plan_stream_matches_offline(self, plan_name, workload):
+        self.assert_stream_matches_offline(plan_name, workload, 500.0)
+
+    @pytest.mark.parametrize("plan_name,workload", LATE_PLAN_CELLS)
+    def test_gray_and_membership_plans_stream_match_offline(
+            self, plan_name, workload):
+        self.assert_stream_matches_offline(plan_name, workload, 800.0)
 
     def test_clean_traced_run_stream_checks_ok(self):
         config = ExperimentConfig(
@@ -172,6 +193,38 @@ class TestCorruptionEquivalence:
         stream, offline = self.both(cluster, events)
         assert "duplicate" in kinds(stream)
         assert kinds(stream) == kinds(offline)
+
+
+class TestDepartedMemberOrder:
+    """A node that left still owes agreement on the order it applied."""
+
+    def stream(self):
+        def rule(seq, node, name, origin, course):
+            return TraceEvent(seq, float(seq), node, "rule", name,
+                              "addCourse", origin, 1, arg=course)
+
+        return [
+            rule(0, "p3", "CONF_APP", "p1", "c1"),  # X
+            rule(1, "p3", "CONF_APP", "p2", "c2"),  # Y
+            TraceEvent(2, 2.0, "p1", "member", "member_leave",
+                       "epoch=1", "p3", 0),
+            rule(3, "p2", "CONF", "p2", "c2"),
+            rule(4, "p1", "CONF_APP", "p2", "c2"),
+            rule(5, "p1", "CONF", "p1", "c1"),
+            rule(6, "p2", "CONF_APP", "p1", "c1"),
+        ]
+
+    def test_inversion_against_departed_node_is_an_order_violation(self):
+        coordination = Coordination.analyze(courseware_spec())
+        offline = TraceChecker(
+            coordination, processes=["p1", "p2"]
+        ).check(self.stream())
+        stream = StreamingChecker(
+            coordination, processes=["p1", "p2", "p3"]
+        ).check(self.stream())
+        assert "order" in kinds(offline), offline.summary()
+        assert "order" in kinds(stream), stream.summary()
+        assert stream.nodes == ["p1", "p2"]
 
 
 class TestCheckpointResume:
