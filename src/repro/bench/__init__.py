@@ -10,9 +10,7 @@ from .report import (
     tenant_table,
 )
 from .runner import (
-    ChaosRun,
     ExperimentConfig,
-    ServingRun,
     TracedRun,
     average_results,
     run_averaged,
@@ -23,9 +21,7 @@ from .runner import (
 )
 
 __all__ = [
-    "ChaosRun",
     "ExperimentConfig",
-    "ServingRun",
     "TracedRun",
     "average_results",
     "fig_header",

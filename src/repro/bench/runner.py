@@ -1,10 +1,21 @@
 """Experiment runner shared by every benchmark (one per paper figure).
 
-``run_experiment`` builds the requested system — ``hamband``, ``mu``
-(the SMR deployment), or ``msg`` (message-passing CRDTs) — over a fresh
-simulation environment, drives the configured workload, and returns the
-paper's metrics.  Repetition and averaging mirror the paper's "repeat
-each experiment 3 times and report the average".
+Every run goes through one pipeline, :func:`_run`: validate the
+system and topology, build the cluster (traced or not), attach the
+flight recorder, arm an optional fault plan, instrument (live checker,
+metrics emitter), drive traffic, optionally run past the plan horizon
+and settle, then check for crashed workers and finish the checker.
+Four entry points choose its parts:
+
+- :func:`run_experiment` — an untraced closed-loop run;
+- :func:`run_traced` — the same with the flight recorder installed;
+- :func:`run_serving` — open-loop traffic through the session tier;
+- :func:`run_chaos` — a traced run under a fault plan, then settled.
+
+The systems are ``hamband``, ``mu`` (the SMR deployment) and ``msg``
+(message-passing CRDTs, untraced only).  Repetition and averaging
+mirror the paper's "repeat each experiment 3 times and report the
+average".
 """
 
 from __future__ import annotations
@@ -23,9 +34,10 @@ from ..runtime import (
     TraceRecorder,
     TxnCoordinator,
 )
-from ..sim import Environment, FaultInjector, FaultPlan  # noqa: F401
+from ..sim import Environment, FaultInjector, FaultPlan
 from ..smr import SmrCluster
 from ..workload import (
+    GENERATOR_NAMES,
     DriverConfig,
     OpenLoopConfig,
     RunResult,
@@ -37,9 +49,7 @@ from ..workload import (
 from ..workload.openloop import build_tier
 
 __all__ = [
-    "ChaosRun",
     "ExperimentConfig",
-    "ServingRun",
     "TracedRun",
     "average_results",
     "run_chaos",
@@ -103,42 +113,102 @@ class ExperimentConfig:
     fd_mode: str = "fixed"
 
 
-def _build_cluster(env: Environment, config: ExperimentConfig,
-                   probe_factory: Optional[Callable] = None):
-    spec = _spec_factory(config.workload)()
-    if config.system == "hamband":
-        runtime_config = RuntimeConfig(
-            force_buffered=config.force_buffered,
-            conf_retry_limit=config.conf_retry_limit,
-            full_dep_barrier=config.full_dep_barrier,
-            wire_version=config.wire_version,
-            ring_integrity=config.ring_integrity,
-            scrub_interval_us=config.scrub_interval_us,
-            seed=config.seed,
-            fd_mode=config.fd_mode,
+def _runtime_config(config: ExperimentConfig) -> RuntimeConfig:
+    hamband = config.system == "hamband"
+    return RuntimeConfig(
+        # Hamband-only ablations: Mu runs the stock applier.
+        force_buffered=hamband and config.force_buffered,
+        conf_retry_limit=config.conf_retry_limit,
+        full_dep_barrier=hamband and config.full_dep_barrier,
+        wire_version=config.wire_version,
+        ring_integrity=config.ring_integrity,
+        scrub_interval_us=config.scrub_interval_us,
+        seed=config.seed,
+        fd_mode=config.fd_mode,
+    )
+
+
+def _is_sharded(config: ExperimentConfig) -> bool:
+    # n_shards=1 with the sharded-bank workload still runs the sharded
+    # driver over a one-shard topology: the apples-to-apples baseline
+    # of the shard-count scaling benchmark.
+    return config.n_shards > 1 or config.workload == "sharded-bank"
+
+
+def _validate(config: ExperimentConfig, traced: bool,
+              live_check: bool) -> None:
+    if config.system not in SYSTEMS:
+        raise ValueError(f"unknown system {config.system!r}")
+    if traced and config.system == "msg":
+        raise ValueError(
+            f"system {config.system!r} has no probe seam to trace "
+            "(use hamband or mu)"
         )
-        return HambandCluster.build(
+    if _is_sharded(config):
+        if live_check:
+            raise ValueError(
+                "live checking does not support sharded topologies yet "
+                "(use the offline ShardedTraceChecker)"
+            )
+        if config.system != "hamband":
+            raise ValueError(
+                f"sharded topologies run the hamband runtime only, "
+                f"not {config.system!r}"
+            )
+        return
+    if config.workload not in GENERATOR_NAMES:
+        raise ValueError(
+            f"unknown workload {config.workload!r}; try `repro list`"
+        )
+    nodes = [f"p{i}" for i in range(1, config.n_nodes + 1)]
+    if config.fail_node is not None and config.fail_node not in nodes:
+        raise ValueError(
+            f"fail_node {config.fail_node!r} is not a node of this "
+            f"cluster (p1..p{config.n_nodes})"
+        )
+
+
+def _build(env: Environment, config: ExperimentConfig, recorder):
+    """The cluster, and the txn coordinator of a sharded ``bankmap``
+    topology (None for single clusters)."""
+    sharded = _is_sharded(config)
+    if sharded:
+        cluster = ShardedCluster.build(
             env,
-            spec,
+            SPEC_FACTORIES["bankmap"](),
+            n_shards=config.n_shards,
             n_nodes=config.n_nodes,
-            config=runtime_config,
-            leaders=config.leaders,
-            probe_factory=probe_factory,
-        )
-    if config.system == "mu":
-        runtime_config = RuntimeConfig(
-            conf_retry_limit=config.conf_retry_limit,
-            wire_version=config.wire_version,
-            ring_integrity=config.ring_integrity,
-            scrub_interval_us=config.scrub_interval_us,
+            config=_runtime_config(config),
+            shard_probe_factory=(
+                recorder.probe_factory_for if recorder is not None else None
+            ),
             seed=config.seed,
-            fd_mode=config.fd_mode,
         )
-        return SmrCluster.build_smr(
-            env, spec, n_nodes=config.n_nodes, config=runtime_config,
-            probe_factory=probe_factory,
+    else:
+        spec = _spec_factory(config.workload)()
+        probe_factory = (
+            recorder.probe_factory if recorder is not None else None
         )
-    return MsgCrdtCluster(env, spec, config.n_nodes)
+        if config.system == "hamband":
+            cluster = HambandCluster.build(
+                env, spec, n_nodes=config.n_nodes,
+                config=_runtime_config(config), leaders=config.leaders,
+                probe_factory=probe_factory,
+            )
+        elif config.system == "mu":
+            cluster = SmrCluster.build_smr(
+                env, spec, n_nodes=config.n_nodes,
+                config=_runtime_config(config), probe_factory=probe_factory,
+            )
+        else:
+            cluster = MsgCrdtCluster(env, spec, config.n_nodes)
+    if recorder is not None:
+        recorder.attach(cluster.coordination)
+    if not sharded:
+        return cluster, None
+    return cluster, TxnCoordinator(
+        cluster, recorder=recorder, lock_path_enabled=config.txn_lock_path,
+    )
 
 
 def _driver(config: ExperimentConfig) -> DriverConfig:
@@ -153,45 +223,6 @@ def _driver(config: ExperimentConfig) -> DriverConfig:
     )
 
 
-def _build_sharded(env: Environment, config: ExperimentConfig,
-                   recorder: Optional[ShardedRecorder] = None,
-                   ) -> tuple[ShardedCluster, TxnCoordinator]:
-    """A ``bankmap`` sharded topology plus its txn coordinator."""
-    if config.system != "hamband":
-        raise ValueError(
-            f"sharded topologies run the hamband runtime only, "
-            f"not {config.system!r}"
-        )
-    runtime_config = RuntimeConfig(
-        force_buffered=config.force_buffered,
-        conf_retry_limit=config.conf_retry_limit,
-        full_dep_barrier=config.full_dep_barrier,
-        wire_version=config.wire_version,
-        ring_integrity=config.ring_integrity,
-        scrub_interval_us=config.scrub_interval_us,
-        seed=config.seed,
-        fd_mode=config.fd_mode,
-    )
-    sharded = ShardedCluster.build(
-        env,
-        SPEC_FACTORIES["bankmap"](),
-        n_shards=config.n_shards,
-        n_nodes=config.n_nodes,
-        config=runtime_config,
-        shard_probe_factory=(
-            recorder.probe_factory_for if recorder is not None else None
-        ),
-        seed=config.seed,
-    )
-    if recorder is not None:
-        recorder.attach(sharded.coordination)
-    coordinator = TxnCoordinator(
-        sharded, recorder=recorder,
-        lock_path_enabled=config.txn_lock_path,
-    )
-    return sharded, coordinator
-
-
 def _sharded_driver(config: ExperimentConfig) -> ShardedDriverConfig:
     # total_ops budgets *constituent calls*; the stock txn shapes issue
     # two calls each, so the txn count halves it.
@@ -203,33 +234,30 @@ def _sharded_driver(config: ExperimentConfig) -> ShardedDriverConfig:
     )
 
 
-def _is_sharded(config: ExperimentConfig) -> bool:
-    # n_shards=1 with the sharded-bank workload still runs the sharded
-    # driver over a one-shard topology: the apples-to-apples baseline
-    # of the shard-count scaling benchmark.
-    return config.n_shards > 1 or config.workload == "sharded-bank"
-
-
-def run_experiment(config: ExperimentConfig) -> RunResult:
-    if config.system not in SYSTEMS:
-        raise ValueError(f"unknown system {config.system!r}")
-    env = Environment()
-    if _is_sharded(config):
-        sharded, coordinator = _build_sharded(env, config)
-        return run_sharded_workload(
-            env, sharded, coordinator, _sharded_driver(config)
-        )
-    cluster = _build_cluster(env, config)
-    return run_workload(env, cluster, _driver(config))
+def _closed_loop(env: Environment, config: ExperimentConfig, cluster,
+                 coordinator) -> RunResult:
+    """The closed-loop drive step: per-node clients, or txn clients
+    over a sharded topology."""
+    if coordinator is None:
+        return run_workload(env, cluster, _driver(config))
+    return run_sharded_workload(
+        env, cluster, coordinator, _sharded_driver(config)
+    )
 
 
 @dataclass
 class TracedRun:
-    """One experiment run with its flight recorder still attached."""
+    """One run with its cluster and instruments still attached.
 
-    result: RunResult
+    Every traced entry point returns one; fields a run shape does not
+    use stay None.  ``result`` is None when a settled (chaos) run failed
+    to quiesce before the driver's timeout: the trace is still
+    complete, so :meth:`check` remains the gate.
+    """
+
+    result: Optional[RunResult]
     cluster: object
-    recorder: TraceRecorder
+    recorder: object
     #: The txn coordinator of a sharded run (None for single clusters).
     coordinator: object = None
     #: With ``live_check``: the in-run streaming checker and its
@@ -239,6 +267,16 @@ class TracedRun:
     #: With ``metrics_out``/``progress``: the telemetry emitter
     #: (``emitter.samples`` counts the JSONL lines written).
     emitter: object = None
+    #: Open-loop runs: the session tier (``tier.tenant_stats()`` breaks
+    #: admission shedding down per tenant) and the effective loop config.
+    tier: object = None
+    loop: object = None
+    #: With a fault plan: the armed injector and the plan.
+    injector: object = None
+    plan: object = None
+    #: False when the post-horizon settle window expired before the
+    #: cluster reached a stable converged state.
+    settled: bool = True
 
     def check(self):
         """Run the offline integrity/convergence checker on the trace.
@@ -264,20 +302,40 @@ class TracedRun:
         )
 
 
-def _instrument(env: Environment, cluster, recorder,
-                live_check: bool, metrics_out, metrics_interval_us: float,
-                progress, label: str):
-    """Attach the in-run streaming checker and/or metrics emitter."""
-    checker = None
-    emitter = None
+def _run(config: ExperimentConfig, drive=_closed_loop, *,
+         traced: bool = True, capacity: int = 1 << 20,
+         plan: Optional[FaultPlan] = None,
+         settle_us: Optional[float] = None,
+         live_check: bool = False, metrics_out=None,
+         metrics_interval_us: float = 200.0, progress=None,
+         label: Optional[str] = None) -> TracedRun:
+    """The one run pipeline behind every entry point.
+
+    build → ``recorder.attach`` → ``injector.arm`` → instrument →
+    ``drive(env, config, cluster, coordinator)``.  Sharded topologies
+    arm the plan against shard 0 only.  With ``settle_us`` the run
+    also continues past the plan horizon and waits for a stable
+    converged window; a quiesce timeout then does not raise either
+    (the checker calls the verdict).  Crashed background workers
+    always raise — those are bugs, not injected faults.
+    """
+    _validate(config, traced, live_check)
+    env = Environment()
+    recorder = None
+    if traced:
+        recorder = (
+            ShardedRecorder(env, n_shards=config.n_shards, capacity=capacity)
+            if _is_sharded(config) else TraceRecorder(env, capacity=capacity)
+        )
+    cluster, coordinator = _build(env, config, recorder)
+    injector = None
+    if plan is not None:
+        injector = FaultInjector(plan)
+        injector.arm(cluster if coordinator is None else cluster.shard(0))
+    checker = emitter = None
     if live_check:
         from ..runtime import StreamingChecker
 
-        if isinstance(recorder, ShardedRecorder):
-            raise ValueError(
-                "live checking does not support sharded topologies yet "
-                "(use the offline ShardedTraceChecker)"
-            )
         checker = StreamingChecker(
             cluster.coordination, processes=cluster.node_names()
         )
@@ -288,9 +346,40 @@ def _instrument(env: Environment, cluster, recorder,
         emitter = MetricsEmitter(
             env, cluster=cluster, recorder=recorder, checker=checker,
             interval_us=metrics_interval_us, out=metrics_out,
-            progress=progress, label=label,
+            progress=progress, label=label or config.workload,
         ).start()
-    return checker, emitter
+    result = None
+    try:
+        result = drive(env, config, cluster, coordinator)
+    except TimeoutError:
+        if settle_us is None:
+            raise
+    settled = True
+    if settle_us is not None:
+        # Run past the fault horizon so late restarts/heals fire even
+        # when the workload finished early.
+        if plan is not None and env.now < plan.horizon_us():
+            env.run(until=plan.horizon_us())
+        settled = bool(env.run(until=env.process(
+            _settle(env, cluster, settle_us), name="chaos:settle"
+        )))
+    crashed = getattr(cluster, "failures", list)()
+    if crashed:
+        raise RuntimeError(f"background workers crashed: {crashed}")
+    stream_report = checker.finish() if checker is not None else None
+    if emitter is not None:
+        emitter.close()
+    return TracedRun(
+        result=result, cluster=cluster, recorder=recorder,
+        coordinator=coordinator, stream_checker=checker,
+        stream_report=stream_report, emitter=emitter,
+        injector=injector, plan=plan, settled=settled,
+    )
+
+
+def run_experiment(config: ExperimentConfig) -> RunResult:
+    """Drive the configured closed-loop workload; the paper's metrics."""
+    return _run(config, traced=False).result
 
 
 def run_traced(config: ExperimentConfig,
@@ -315,69 +404,11 @@ def run_traced(config: ExperimentConfig,
     ``metrics_interval_us`` of sim time; ``progress`` receives a
     one-line status per sample.
     """
-    if config.system not in ("hamband", "mu"):
-        raise ValueError(
-            f"system {config.system!r} has no probe seam to trace"
-        )
-    env = Environment()
-    if _is_sharded(config):
-        recorder = ShardedRecorder(
-            env, n_shards=config.n_shards, capacity=capacity
-        )
-        if live_check:
-            raise ValueError(
-                "live checking does not support sharded topologies yet "
-                "(use the offline ShardedTraceChecker)"
-            )
-        sharded, coordinator = _build_sharded(env, config, recorder)
-        _checker, emitter = _instrument(
-            env, sharded, recorder, False, metrics_out,
-            metrics_interval_us, progress, config.workload,
-        )
-        result = run_sharded_workload(
-            env, sharded, coordinator, _sharded_driver(config)
-        )
-        if emitter is not None:
-            emitter.close()
-        return TracedRun(
-            result=result, cluster=sharded, recorder=recorder,
-            coordinator=coordinator, emitter=emitter,
-        )
-    recorder = TraceRecorder(env, capacity=capacity)
-    cluster = _build_cluster(
-        env, config, probe_factory=recorder.probe_factory
+    return _run(
+        config, capacity=capacity, live_check=live_check,
+        metrics_out=metrics_out, metrics_interval_us=metrics_interval_us,
+        progress=progress,
     )
-    recorder.attach(cluster.coordination)
-    checker, emitter = _instrument(
-        env, cluster, recorder, live_check, metrics_out,
-        metrics_interval_us, progress, config.workload,
-    )
-    result = run_workload(env, cluster, _driver(config))
-    stream_report = checker.finish() if checker is not None else None
-    if emitter is not None:
-        emitter.close()
-    return TracedRun(
-        result=result, cluster=cluster, recorder=recorder,
-        stream_checker=checker, stream_report=stream_report,
-        emitter=emitter,
-    )
-
-
-@dataclass
-class ServingRun(TracedRun):
-    """An open-loop serving run with its session tier attached.
-
-    ``result.dropped_arrivals`` counts admission shedding;
-    ``tier.tenant_stats()`` breaks it down per tenant;
-    ``result.slo`` carries attainment when a target was declared.
-    """
-
-    tier: object = None
-    loop: object = None
-    #: With ``plan``: the armed fault injector (gray-SLO scenarios
-    #: serve open-loop traffic THROUGH an injected fail-slow window).
-    injector: object = None
-    plan: object = None
 
 
 def run_serving(config: ExperimentConfig, loop: OpenLoopConfig,
@@ -386,7 +417,7 @@ def run_serving(config: ExperimentConfig, loop: OpenLoopConfig,
                 metrics_out=None,
                 metrics_interval_us: float = 200.0,
                 progress=None,
-                plan: Optional["FaultPlan"] = None) -> ServingRun:
+                plan: Optional[FaultPlan] = None) -> TracedRun:
     """Drive the open-loop serving tier over a traced cluster.
 
     ``config`` picks the system/topology (hamband or mu, single
@@ -397,11 +428,10 @@ def run_serving(config: ExperimentConfig, loop: OpenLoopConfig,
     :class:`FaultInjector` before traffic starts — the gray-failure
     SLO scenario: serve a flash crowd THROUGH a fail-slow window and
     let SLO attainment judge the mitigation stack.
+
+    ``result.dropped_arrivals`` counts admission shedding;
+    ``result.slo`` carries attainment when a target was declared.
     """
-    if config.system not in ("hamband", "mu"):
-        raise ValueError(
-            f"system {config.system!r} has no probe seam to trace"
-        )
     if _is_sharded(config):
         raise ValueError(
             "the serving tier drives single clusters; sharded serving "
@@ -413,56 +443,28 @@ def run_serving(config: ExperimentConfig, loop: OpenLoopConfig,
         seed=config.seed,
         system_label=config.system,
     )
-    env = Environment()
-    recorder = TraceRecorder(env, capacity=capacity)
-    cluster = _build_cluster(
-        env, config, probe_factory=recorder.probe_factory
-    )
-    recorder.attach(cluster.coordination)
-    injector = None
-    if plan is not None:
-        injector = FaultInjector(plan)
-        injector.arm(cluster)
-    checker, emitter = _instrument(
-        env, cluster, recorder, live_check, metrics_out,
-        metrics_interval_us, progress, f"serve:{config.workload}",
-    )
     tier = build_tier(loop, config.n_nodes)
-    result = run_open_loop(env, cluster, loop, tier=tier)
-    stream_report = checker.finish() if checker is not None else None
-    if emitter is not None:
-        emitter.close()
-    return ServingRun(
-        result=result, cluster=cluster, recorder=recorder,
-        stream_checker=checker, stream_report=stream_report,
-        emitter=emitter, tier=tier, loop=loop,
-        injector=injector, plan=plan,
+
+    def open_loop(env, _config, cluster, _coordinator) -> RunResult:
+        return run_open_loop(env, cluster, loop, tier=tier)
+
+    run = _run(
+        config, open_loop, capacity=capacity, plan=plan,
+        live_check=live_check, metrics_out=metrics_out,
+        metrics_interval_us=metrics_interval_us, progress=progress,
+        label=f"serve:{config.workload}",
     )
+    run.tier, run.loop = tier, loop
+    return run
 
 
-@dataclass
-class ChaosRun(TracedRun):
-    """A traced run with a fault injector armed on the cluster.
-
-    ``result`` is ``None`` when the run failed to quiesce before the
-    driver's timeout (a recovery path too broken to finish): the trace
-    is still complete, so :meth:`TracedRun.check` remains the gate.
-    """
-
-    injector: object = None
-    plan: object = None
-    #: False when the post-horizon settle window expired before the
-    #: cluster reached a stable converged state.
-    settled: bool = True
-
-
-def run_chaos(config: ExperimentConfig, plan: "FaultPlan",
+def run_chaos(config: ExperimentConfig, plan: FaultPlan,
               capacity: int = 1 << 20,
               settle_us: float = 200_000.0,
               live_check: bool = False,
               metrics_out=None,
               metrics_interval_us: float = 200.0,
-              progress=None) -> ChaosRun:
+              progress=None) -> TracedRun:
     """Drive a workload while a :class:`FaultInjector` executes ``plan``.
 
     Builds the traced cluster, arms the injector (scheduled faults fire
@@ -472,79 +474,17 @@ def run_chaos(config: ExperimentConfig, plan: "FaultPlan",
     quiesce timeout raises: the offline :class:`TraceChecker` is the
     gate, so a run whose recovery paths failed completes with a trace
     that the checker rejects (this is what the negative-control test
-    relies on).  Background-worker crashes still raise — those are bugs,
-    not injected faults.
+    relies on).
 
     Sharded topologies arm the plan against shard 0 only — the victim
     shard — which is exactly the isolation claim the sharded chaos
     preset tests: faults inside one shard must not stall commuting
     transactions on the healthy shards.
     """
-    if config.system not in ("hamband", "mu"):
-        raise ValueError(
-            f"system {config.system!r} has no probe seam to trace"
-        )
-    if live_check and _is_sharded(config):
-        raise ValueError(
-            "live checking does not support sharded topologies yet "
-            "(use the offline ShardedTraceChecker)"
-        )
-    env = Environment()
-    coordinator = None
-    if _is_sharded(config):
-        recorder = ShardedRecorder(
-            env, n_shards=config.n_shards, capacity=capacity
-        )
-        cluster, coordinator = _build_sharded(env, config, recorder)
-        injector = FaultInjector(plan)
-        injector.arm(cluster.shard(0))
-    else:
-        recorder = TraceRecorder(env, capacity=capacity)
-        cluster = _build_cluster(
-            env, config, probe_factory=recorder.probe_factory
-        )
-        recorder.attach(cluster.coordination)
-        injector = FaultInjector(plan)
-        injector.arm(cluster)
-    checker, emitter = _instrument(
-        env, cluster, recorder, live_check, metrics_out,
-        metrics_interval_us, progress, config.workload,
-    )
-    result = None
-    try:
-        if _is_sharded(config):
-            result = run_sharded_workload(
-                env, cluster, coordinator, _sharded_driver(config)
-            )
-        else:
-            result = run_workload(env, cluster, _driver(config))
-    except TimeoutError:
-        pass  # non-quiescent run: the checker will call the verdict
-    # Run past the fault horizon so late restarts/heals fire even when
-    # the workload finished early.
-    horizon = plan.horizon_us()
-    if env.now < horizon:
-        env.run(until=horizon)
-    settled = env.run(until=env.process(
-        _settle(env, cluster, settle_us), name="chaos:settle"
-    ))
-    crashed = cluster.failures()
-    if crashed:
-        raise RuntimeError(f"background workers crashed: {crashed}")
-    stream_report = checker.finish() if checker is not None else None
-    if emitter is not None:
-        emitter.close()
-    return ChaosRun(
-        result=result,
-        cluster=cluster,
-        recorder=recorder,
-        coordinator=coordinator,
-        injector=injector,
-        plan=plan,
-        settled=bool(settled),
-        stream_checker=checker,
-        stream_report=stream_report,
-        emitter=emitter,
+    return _run(
+        config, capacity=capacity, plan=plan, settle_us=settle_us,
+        live_check=live_check, metrics_out=metrics_out,
+        metrics_interval_us=metrics_interval_us, progress=progress,
     )
 
 

@@ -48,6 +48,15 @@ Commands:
   ``scale-in-leader``) join/remove nodes mid-run through the
   authoritative state-transfer path; ``run --scale-out-at US`` does a
   plain scale-out without any other fault.
+
+``run``, ``serve`` and ``chaos`` are thin front ends over the four
+runner entry points in :mod:`repro.bench.runner`, which share one run
+pipeline.  They declare the shared output, topology and
+failure-detection flags once, and print through one report tail:
+result row, injected faults, the command's own lines, txn counters,
+per-method rows, ``--stats``, trace export, live verdict, metrics path
+and ``--check`` verdict.  Exit codes: 1 for a configuration error, 2
+for a checker violation, 3 for a missed SLO.
 """
 
 from __future__ import annotations
@@ -84,40 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--max-states", type=int, default=200_000)
 
     run = sub.add_parser("run", help="drive one experiment")
-    run.add_argument("workload")
-    run.add_argument(
-        "--system",
-        choices=("hamband", "mu", "msg"),
-        default="hamband",
-    )
-    run.add_argument("--nodes", type=int, default=4)
+    _add_experiment_args(run, systems=("hamband", "mu", "msg"))
     run.add_argument("--ops", type=int, default=1200)
-    run.add_argument("--update-ratio", type=float, default=0.25)
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="build a sharded topology of N independent shards and "
-        "drive the cross-shard bank workload through the txn "
-        "coordinator (hamband only; the workload name 'sharded-bank' "
-        "implies --shards 1 as the scaling baseline)",
-    )
-    run.add_argument(
-        "--txn-mix",
-        type=float,
-        default=0.0,
-        help="sharded runs: fraction of conflicting transfer txns "
-        "(the rest are all-commuting payroll deposits)",
-    )
-    run.add_argument(
-        "--txn-lock-path",
-        choices=("on", "off"),
-        default="on",
-        help="sharded runs: 'off' routes conflicting txns down the "
-        "uncoordinated path — the negative control (expect --check's "
-        "cross-shard atomicity obligation to fail)",
-    )
+    _add_topology_args(run)
     run.add_argument(
         "--fail-node", default=None, help="suspend this node's heartbeat"
     )
@@ -131,53 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "committed state from authoritative copies and must converge "
         "(hamband/mu only; implies tracing)",
     )
-    run.add_argument(
-        "--wire-version",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="data-plane wire format: 2 (interned/varint, default) or "
-        "1 (legacy tagged)",
-    )
-    run.add_argument("--per-method", action="store_true")
-    run.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-node probe snapshots, the cluster rollup, and "
-        "per-phase latencies after the run",
-    )
-    run.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="record a flight-recorder trace and export it: *.jsonl "
-        "gets JSON lines, anything else the Chrome trace_event format "
-        "(open in chrome://tracing or ui.perfetto.dev)",
-    )
-    run.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=1 << 20,
-        help="per-node trace ring-buffer capacity (events)",
-    )
-    run.add_argument(
-        "--check",
-        action="store_true",
-        help="replay the recorded trace through the offline "
-        "integrity/convergence checker; exit 2 on violations",
-    )
-    _add_live_args(run)
+    _add_output_args(run)
 
     serve = sub.add_parser(
         "serve",
         help="drive the open-loop serving tier (sessions, arrival "
         "curves, admission control, SLO attainment)",
     )
-    serve.add_argument("workload")
-    serve.add_argument(
-        "--system", choices=("hamband", "mu"), default="hamband"
-    )
-    serve.add_argument("--nodes", type=int, default=4)
+    _add_experiment_args(serve, systems=("hamband", "mu"))
     serve.add_argument(
         "--load",
         type=float,
@@ -191,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2000.0,
         help="arrival window in sim microseconds",
     )
-    serve.add_argument("--update-ratio", type=float, default=0.25)
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument(
         "--curve",
@@ -242,15 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-tenant admission accounting after the run",
     )
-    serve.add_argument(
-        "--fd-mode",
-        choices=("fixed", "phi"),
-        default="fixed",
-        help="failure detection: 'fixed' (byte-stable stale-count "
-        "suspicion, default) or 'phi' (phi-accrual + latency-EWMA "
-        "degraded classification, hedged reads, jittered retries, "
-        "slow-leader demotion)",
-    )
+    _add_fd_mode_arg(serve)
     serve.add_argument(
         "--faults",
         metavar="PLAN",
@@ -267,66 +198,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fault-plan horizon in sim microseconds (with --faults; "
         "defaults to --duration)",
     )
-    serve.add_argument("--per-method", action="store_true")
-    serve.add_argument(
-        "--stats",
-        action="store_true",
-        help="print tier stats, probe snapshots, and phase latencies",
-    )
-    serve.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="export the flight-recorder trace (*.jsonl for JSON "
-        "lines, anything else Chrome trace_event)",
-    )
-    serve.add_argument("--trace-capacity", type=int, default=1 << 20)
-    serve.add_argument(
-        "--check",
-        action="store_true",
-        help="replay the trace through the offline checker; exit 2 on "
-        "violations",
-    )
-    _add_live_args(serve)
+    _add_output_args(serve)
 
     chaos = sub.add_parser(
         "chaos",
         help="drive one experiment under a deterministic fault plan",
     )
-    chaos.add_argument("workload")
-    chaos.add_argument(
-        "--system", choices=("hamband", "mu"), default="hamband"
-    )
-    chaos.add_argument("--nodes", type=int, default=4)
+    _add_experiment_args(chaos, systems=("hamband", "mu"))
     chaos.add_argument("--ops", type=int, default=600)
-    chaos.add_argument("--update-ratio", type=float, default=0.25)
     chaos.add_argument(
         "--seed",
         type=int,
         default=None,
         help="workload seed AND (without --faults) the fault-plan seed",
     )
-    chaos.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="sharded topology of N shards; fault plans are armed "
-        "against shard 0 only (the victim shard), so e.g. "
-        "'--faults shard-isolate' proves isolated-shard faults do not "
-        "stall commuting txns on the healthy shards",
-    )
-    chaos.add_argument(
-        "--txn-mix",
-        type=float,
-        default=0.0,
-        help="sharded runs: fraction of conflicting transfer txns",
-    )
-    chaos.add_argument(
-        "--txn-lock-path",
-        choices=("on", "off"),
-        default="on",
-        help="sharded runs: 'off' is the atomicity negative control",
-    )
+    _add_topology_args(chaos)
     chaos.add_argument(
         "--faults",
         metavar="PLAN",
@@ -338,15 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "gray failures: gray-leader, flaky-link) or "
         "a plan JSON file; omit to derive a plan from --seed",
     )
-    chaos.add_argument(
-        "--fd-mode",
-        choices=("fixed", "phi"),
-        default="fixed",
-        help="failure detection: 'fixed' (byte-stable stale-count "
-        "suspicion, default) or 'phi' (phi-accrual + latency-EWMA "
-        "degraded classification, hedged reads, jittered retries, "
-        "slow-leader demotion — the gray-failure toolkit)",
-    )
+    _add_fd_mode_arg(chaos)
     chaos.add_argument(
         "--horizon",
         type=float,
@@ -360,14 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the resolved plan as canonical JSON (replayable "
         "via --faults FILE)",
-    )
-    chaos.add_argument(
-        "--wire-version",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="data-plane wire format: 2 (interned/varint, default) or "
-        "1 (legacy tagged)",
     )
     chaos.add_argument(
         "--ring-integrity",
@@ -390,31 +260,97 @@ def _build_parser() -> argparse.ArgumentParser:
         default=50.0,
         help="scrub tick in sim microseconds (with --scrub; default 50)",
     )
-    chaos.add_argument("--per-method", action="store_true")
-    chaos.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-node probe snapshots and the cluster rollup",
-    )
-    chaos.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="export the flight-recorder trace (*.jsonl for JSON "
-        "lines, anything else Chrome trace_event with FAULT markers)",
-    )
-    chaos.add_argument("--trace-capacity", type=int, default=1 << 20)
-    chaos.add_argument(
-        "--check",
-        action="store_true",
-        help="gate the run with the offline trace checker; exit 2 on "
-        "violations",
-    )
-    _add_live_args(chaos)
+    _add_output_args(chaos)
     return parser
 
 
-def _add_live_args(sub: argparse.ArgumentParser) -> None:
+def _add_experiment_args(sub: argparse.ArgumentParser,
+                         systems: tuple[str, ...]) -> None:
+    sub.add_argument("workload")
+    sub.add_argument("--system", choices=systems, default="hamband")
+    sub.add_argument("--nodes", type=int, default=4)
+    sub.add_argument("--update-ratio", type=float, default=0.25)
+
+
+def _add_topology_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="build a sharded topology of N independent shards and "
+        "drive the cross-shard bank workload through the txn "
+        "coordinator (hamband only; the workload name 'sharded-bank' "
+        "implies --shards 1 as the scaling baseline); chaos plans are "
+        "armed against shard 0 only (the victim shard), so e.g. "
+        "'--faults shard-isolate' proves isolated-shard faults do not "
+        "stall commuting txns on the healthy shards",
+    )
+    sub.add_argument(
+        "--txn-mix",
+        type=float,
+        default=0.0,
+        help="sharded runs: fraction of conflicting transfer txns "
+        "(the rest are all-commuting payroll deposits)",
+    )
+    sub.add_argument(
+        "--txn-lock-path",
+        choices=("on", "off"),
+        default="on",
+        help="sharded runs: 'off' routes conflicting txns down the "
+        "uncoordinated path — the negative control (expect --check's "
+        "cross-shard atomicity obligation to fail)",
+    )
+    sub.add_argument(
+        "--wire-version",
+        type=int,
+        choices=(1, 2),
+        default=2,
+        help="data-plane wire format: 2 (interned/varint, default) or "
+        "1 (legacy tagged)",
+    )
+
+
+def _add_fd_mode_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--fd-mode",
+        choices=("fixed", "phi"),
+        default="fixed",
+        help="failure detection: 'fixed' (byte-stable stale-count "
+        "suspicion, default) or 'phi' (phi-accrual + latency-EWMA "
+        "degraded classification, hedged reads, jittered retries, "
+        "slow-leader demotion — the gray-failure toolkit)",
+    )
+
+
+def _add_output_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--per-method", action="store_true")
+    sub.add_argument(
+        "--stats",
+        action="store_true",
+        help="print per-node probe snapshots, the cluster rollup, and "
+        "per-phase latencies after the run",
+    )
+    sub.add_argument(
+        "--trace",
+        metavar="FILE",
+        default=None,
+        help="record a flight-recorder trace and export it: *.jsonl "
+        "gets JSON lines, anything else the Chrome trace_event format "
+        "(open in chrome://tracing or ui.perfetto.dev; chaos runs add "
+        "FAULT markers)",
+    )
+    sub.add_argument(
+        "--trace-capacity",
+        type=int,
+        default=1 << 20,
+        help="per-node trace ring-buffer capacity (events)",
+    )
+    sub.add_argument(
+        "--check",
+        action="store_true",
+        help="replay the recorded trace through the offline "
+        "integrity/convergence checker; exit 2 on violations",
+    )
     sub.add_argument(
         "--live-check",
         action="store_true",
@@ -544,22 +480,22 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 2
 
 
-def _print_stats(cluster, recorder, phase_table=None) -> None:
+def _print_stats(cluster, recorder) -> None:
     """Probe snapshots + rollups; sharded runs group output by shard."""
     import json
 
+    from .bench import phase_latency_table
+
     print(json.dumps(cluster.stats(), indent=2, default=str))
-    if phase_table is None:
-        return
     by_shard = getattr(recorder, "phase_histograms_by_shard", None)
     if by_shard is not None:
         for label in sorted(by_shard()):
-            print(phase_table(
+            print(phase_latency_table(
                 f"{label}: per-phase latency (trace spans)",
                 by_shard()[label],
             ))
     else:
-        print(phase_table(
+        print(phase_latency_table(
             "per-phase latency (trace spans)",
             recorder.phase_histograms(),
         ))
@@ -612,24 +548,86 @@ def _print_txn_counters(coordinator) -> None:
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from .bench import (
-        ExperimentConfig,
-        phase_latency_table,
-        run_experiment,
-        run_traced,
+def _launch(args: argparse.Namespace, entry, *positional,
+            details=None, **extra) -> int:
+    """Call a traced runner with the shared instrument flags, then
+    print the shared report."""
+    progress, progress_done = _live_progress(
+        args.live_check or args.metrics_out is not None
     )
+    try:
+        run = entry(
+            *positional, capacity=args.trace_capacity,
+            live_check=args.live_check, metrics_out=args.metrics_out,
+            metrics_interval_us=args.metrics_interval_us,
+            progress=progress, **extra,
+        )
+    finally:
+        progress_done()
+    return _report(args, run.result, run, details)
 
-    instrumented = (
-        args.stats or args.trace is not None or args.check
-        or args.live_check or args.metrics_out is not None
-        or args.scale_out_at is not None
-    )
-    if instrumented and args.system == "msg":
-        print("--stats/--trace/--check/--live-check/--scale-out-at need "
-              "the Hamband probe seam; the msg baseline has none (use "
-              "--system hamband or mu)")
-        return 1
+
+def _report(args: argparse.Namespace, result, run=None,
+            details=None) -> int:
+    """The output tail of run/serve/chaos.  ``run`` is None for an
+    untraced run; ``details(run)`` prints the command's own lines.
+    Returns the exit code: 2 on a checker violation, 3 on an SLO miss.
+    """
+    if result is not None:
+        print(result.summary_row())
+    else:
+        print(f"{args.system:10s} {args.workload:14s} n={args.nodes} "
+              "did not quiesce before the driver timeout")
+    if run is not None and run.injector is not None:
+        counts = run.injector.counts()
+        injected = ", ".join(
+            f"{kind}={counts[kind]}" for kind in sorted(counts)
+        ) or "none"
+        fd_mode = getattr(args, "fd_mode", None)
+        print(f"plan: {run.plan.name} seed={run.plan.seed} "
+              f"horizon={run.plan.horizon_us():.0f}us"
+              + (f" fd={fd_mode}" if fd_mode else ""))
+        print(f"faults injected: {injected}")
+    if details is not None:
+        details(run)
+    if run is not None:
+        _print_txn_counters(run.coordinator)
+    if args.per_method and result is not None:
+        for method in sorted(result.per_method):
+            series = result.per_method[method]
+            print(
+                f"  {method:20s} mean={series.mean:8.3f}us "
+                f"p95={series.p95:8.3f}us p99={series.p99:8.3f}us "
+                f"p999={series.p999:8.3f}us n={series.count}"
+            )
+    if args.stats:
+        _print_stats(run.cluster, run.recorder)
+    if args.trace is not None:
+        if args.trace.endswith(".jsonl"):
+            count = run.recorder.export_jsonl(args.trace)
+        else:
+            count = run.recorder.export_chrome(args.trace)
+        dropped = run.recorder.dropped()
+        print(f"trace: {count} events -> {args.trace}"
+              + (f" ({dropped} dropped)" if dropped else ""))
+    live_ok = run is None or _print_live(run)
+    if args.metrics_out is not None:
+        print(f"metrics -> {args.metrics_out}")
+    if args.check:
+        report = run.check()
+        print(report.summary())
+        if not report.ok:
+            return 2
+    if not live_ok:
+        return 2
+    if result is not None and result.slo is not None and not result.slo.ok:
+        return 3
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .bench import ExperimentConfig, run_chaos, run_experiment, run_traced
+
     config = ExperimentConfig(
         system=args.system,
         workload=args.workload,
@@ -643,106 +641,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
         txn_mix=args.txn_mix,
         txn_lock_path=args.txn_lock_path == "on",
     )
-    traced = None
-    progress, progress_done = _live_progress(
-        args.live_check or args.metrics_out is not None
-    )
-    try:
-        if args.scale_out_at is not None:
-            # A scale-out is a one-action membership plan driven by the
-            # chaos harness (it already knows how to run past the event
-            # and wait for the joiner to reach parity).
-            from .bench import run_chaos
-            from .sim import FaultAction, FaultPlan
-
-            plan = FaultPlan(
-                seed=args.seed,
-                name="scale-out",
-                actions=(FaultAction(
-                    at_us=args.scale_out_at,
-                    kind="join",
-                    target=f"node:p{args.nodes + 1}",
-                ),),
-            )
-            traced = run_chaos(
-                config, plan, capacity=args.trace_capacity,
-                live_check=args.live_check,
-                metrics_out=args.metrics_out,
-                metrics_interval_us=args.metrics_interval_us,
-                progress=progress,
-            )
-            result = traced.result
-        elif instrumented:
-            traced = run_traced(
-                config, capacity=args.trace_capacity,
-                live_check=args.live_check,
-                metrics_out=args.metrics_out,
-                metrics_interval_us=args.metrics_interval_us,
-                progress=progress,
-            )
-            result = traced.result
-        else:
-            result = run_experiment(config)
-    except KeyError:
-        print(f"unknown workload {args.workload!r}; try `repro list`")
-        return 1
-    except ValueError as exc:
-        print(exc)
-        return 1
-    finally:
-        progress_done()
-    if result is not None:
-        print(result.summary_row())
-    else:
-        print(f"{args.system:10s} {args.workload:14s} n={args.nodes} "
-              "did not quiesce before the driver timeout")
     if args.scale_out_at is not None:
-        # Sharded runs arm the plan against shard 0 (the scaled shard).
-        scaled = getattr(traced.cluster, "shards", [traced.cluster])[0]
-        joined = sorted(set(scaled.node_names()) - set(scaled.founding))
-        print(f"scale-out: joined {', '.join(joined) or '(none)'} "
-              f"at {args.scale_out_at:.0f}us, "
-              f"epoch v{scaled.epoch.version}")
-    if args.per_method and result is not None:
-        for method in sorted(result.per_method):
-            series = result.per_method[method]
-            print(
-                f"  {method:20s} mean={series.mean:8.3f}us "
-                f"p95={series.p95:8.3f}us p99={series.p99:8.3f}us "
-                f"p999={series.p999:8.3f}us n={series.count}"
-            )
-    if traced is not None:
-        _print_txn_counters(traced.coordinator)
-    if args.stats:
-        _print_stats(
-            traced.cluster, traced.recorder, phase_table=phase_latency_table
+        # A scale-out is a one-action membership plan driven by the
+        # chaos harness (it already knows how to run past the event
+        # and wait for the joiner to reach parity).
+        from .sim import FaultAction, FaultPlan
+
+        plan = FaultPlan(
+            seed=args.seed,
+            name="scale-out",
+            actions=(FaultAction(
+                at_us=args.scale_out_at,
+                kind="join",
+                target=f"node:p{args.nodes + 1}",
+            ),),
         )
-    if args.trace is not None:
-        if args.trace.endswith(".jsonl"):
-            count = traced.recorder.export_jsonl(args.trace)
-        else:
-            count = traced.recorder.export_chrome(args.trace)
-        dropped = traced.recorder.dropped()
-        print(f"trace: {count} events -> {args.trace}"
-              + (f" ({dropped} dropped)" if dropped else ""))
-    live_ok = _print_live(traced) if traced is not None else True
-    if args.metrics_out is not None:
-        print(f"metrics -> {args.metrics_out}")
-    if args.check:
-        report = traced.check()
-        print(report.summary())
-        if not report.ok:
-            return 2
-    return 0 if live_ok else 2
+
+        def scale_out(run) -> None:
+            # Sharded runs arm the plan against shard 0 (the scaled
+            # shard).
+            scaled = getattr(run.cluster, "shards", [run.cluster])[0]
+            joined = sorted(set(scaled.node_names()) - set(scaled.founding))
+            print(f"scale-out: joined {', '.join(joined) or '(none)'} "
+                  f"at {args.scale_out_at:.0f}us, "
+                  f"epoch v{scaled.epoch.version}")
+
+        return _launch(args, run_chaos, config, plan, details=scale_out)
+    if (args.stats or args.trace is not None or args.check
+            or args.live_check or args.metrics_out is not None):
+        return _launch(args, run_traced, config)
+    return _report(args, run_experiment(config))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .bench import (
-        ExperimentConfig,
-        phase_latency_table,
-        run_serving,
-        tenant_table,
-    )
+    from .bench import ExperimentConfig, run_serving, tenant_table
     from .workload import OpenLoopConfig, SloTarget
 
     slo = None
@@ -758,13 +690,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         horizon = (
             args.horizon if args.horizon is not None else args.duration
         )
-        try:
-            plan = resolve_plan(
-                args.faults, args.seed, args.nodes, horizon_us=horizon
-            )
-        except ValueError as exc:
-            print(exc)
-            return 1
+        plan = resolve_plan(
+            args.faults, args.seed, args.nodes, horizon_us=horizon
+        )
     config = ExperimentConfig(
         system=args.system,
         workload=args.workload,
@@ -786,99 +714,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_outstanding_per_tenant=args.max_outstanding_per_tenant,
         slo=slo,
     )
-    progress, progress_done = _live_progress(
-        args.live_check or args.metrics_out is not None
-    )
-    try:
-        run = run_serving(
-            config, loop, capacity=args.trace_capacity,
-            live_check=args.live_check,
-            metrics_out=args.metrics_out,
-            metrics_interval_us=args.metrics_interval_us,
-            progress=progress,
-            plan=plan,
+
+    def serving(run) -> None:
+        result = run.result
+        tier_stats = run.tier.stats()
+        print(
+            f"sessions: {tier_stats['active_sessions']}/"
+            f"{tier_stats['sessions']} active over "
+            f"{tier_stats['tenants']} tenant(s), curve={args.curve}  "
+            f"admitted={tier_stats['admitted']} "
+            f"dropped={tier_stats['dropped']}"
         )
-    except KeyError:
-        print(f"unknown workload {args.workload!r}; try `repro list`")
-        return 1
-    except ValueError as exc:
-        print(exc)
-        return 1
-    finally:
-        progress_done()
-    result = run.result
-    print(result.summary_row())
-    if run.injector is not None:
-        counts = run.injector.counts()
-        injected = ", ".join(
-            f"{kind}={counts[kind]}" for kind in sorted(counts)
-        ) or "none"
-        print(f"plan: {run.plan.name} seed={run.plan.seed} "
-              f"horizon={run.plan.horizon_us():.0f}us fd={args.fd_mode}")
-        print(f"faults injected: {injected}")
-    tier_stats = run.tier.stats()
-    print(
-        f"sessions: {tier_stats['active_sessions']}/"
-        f"{tier_stats['sessions']} active over "
-        f"{tier_stats['tenants']} tenant(s), curve={args.curve}  "
-        f"admitted={tier_stats['admitted']} "
-        f"dropped={tier_stats['dropped']}"
-    )
-    print(
-        f"latency: p50={result.latency.p50:.1f}us "
-        f"p99={result.latency.p99:.1f}us "
-        f"p999={result.latency.p999:.1f}us"
-    )
-    if result.slo is not None:
-        print(result.slo.summary())
-    if args.tenant_table:
-        print(tenant_table("per-tenant admission", run.tier))
-    if args.per_method:
-        for method in sorted(result.per_method):
-            series = result.per_method[method]
-            print(
-                f"  {method:20s} mean={series.mean:8.3f}us "
-                f"p95={series.p95:8.3f}us p99={series.p99:8.3f}us "
-                f"p999={series.p999:8.3f}us n={series.count}"
-            )
-    if args.stats:
-        _print_stats(
-            run.cluster, run.recorder, phase_table=phase_latency_table
+        print(
+            f"latency: p50={result.latency.p50:.1f}us "
+            f"p99={result.latency.p99:.1f}us "
+            f"p999={result.latency.p999:.1f}us"
         )
-    if args.trace is not None:
-        if args.trace.endswith(".jsonl"):
-            count = run.recorder.export_jsonl(args.trace)
-        else:
-            count = run.recorder.export_chrome(args.trace)
-        dropped = run.recorder.dropped()
-        print(f"trace: {count} events -> {args.trace}"
-              + (f" ({dropped} dropped)" if dropped else ""))
-    live_ok = _print_live(run)
-    if args.metrics_out is not None:
-        print(f"metrics -> {args.metrics_out}")
-    if args.check:
-        report = run.check()
-        print(report.summary())
-        if not report.ok:
-            return 2
-    if not live_ok:
-        return 2
-    if result.slo is not None and not result.slo.ok:
-        return 3
-    return 0
+        if result.slo is not None:
+            print(result.slo.summary())
+        if args.tenant_table:
+            print(tenant_table("per-tenant admission", run.tier))
+
+    return _launch(args, run_serving, config, loop, details=serving,
+                   plan=plan)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .bench import ExperimentConfig, run_chaos
     from .sim import resolve_plan
 
-    try:
-        plan = resolve_plan(
-            args.faults, args.seed, args.nodes, horizon_us=args.horizon
-        )
-    except ValueError as exc:
-        print(exc)
-        return 1
+    plan = resolve_plan(
+        args.faults, args.seed, args.nodes, horizon_us=args.horizon
+    )
     if args.save_plan is not None:
         plan.save(args.save_plan)
         print(f"plan: {plan.name} ({len(plan.actions)} actions) "
@@ -898,89 +765,37 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         txn_lock_path=args.txn_lock_path == "on",
         fd_mode=args.fd_mode,
     )
-    progress, progress_done = _live_progress(
-        args.live_check or args.metrics_out is not None
-    )
-    try:
-        run = run_chaos(
-            config, plan, capacity=args.trace_capacity,
-            live_check=args.live_check,
-            metrics_out=args.metrics_out,
-            metrics_interval_us=args.metrics_interval_us,
-            progress=progress,
-        )
-    except KeyError:
-        print(f"unknown workload {args.workload!r}; try `repro list`")
-        return 1
-    except ValueError as exc:
-        print(exc)
-        return 1
-    finally:
-        progress_done()
-    if run.result is not None:
-        print(run.result.summary_row())
-    else:
-        print(f"{args.system:10s} {args.workload:14s} n={args.nodes} "
-              "did not quiesce before the driver timeout")
-    counts = run.injector.counts()
-    injected = ", ".join(
-        f"{kind}={counts[kind]}" for kind in sorted(counts)
-    ) or "none"
-    print(f"plan: {plan.name} seed={plan.seed} "
-          f"horizon={plan.horizon_us():.0f}us")
-    print(f"faults injected: {injected}")
-    stats = run.cluster.stats()
-    # Sharded topologies roll up under "global"; single clusters under
-    # "cluster".
-    probe = (stats.get("cluster") or stats["global"])["probe"]
 
-    def _total(key: str) -> int:
-        return sum((probe.get(key) or {}).values())
+    def recovery(run) -> None:
+        stats = run.cluster.stats()
+        # Sharded topologies roll up under "global"; single clusters
+        # under "cluster".
+        probe = (stats.get("cluster") or stats["global"])["probe"]
 
-    print(
-        f"corruption: crc_rejects={_total('crc_rejects')} "
-        f"torn={_total('torn_detected')} "
-        f"repairs={_total('slot_repairs')} "
-        f"wire_rejects={_total('wire_rejects')} "
-        f"scrub_passes={_total('scrub_passes')}"
-    )
-    if args.fd_mode == "phi":
+        def _total(key: str) -> int:
+            return sum((probe.get(key) or {}).values())
+
         print(
-            f"gray: degraded={_total('peer_degraded')} "
-            f"phi_suspects={_total('fd_phi_suspects')} "
-            f"hedged={_total('hedged_reads')}/{_total('hedge_wins')} "
-            f"retries={_total('op_retries')} "
-            f"budget_exhausted={_total('retry_budget_exhausted')}"
+            f"corruption: crc_rejects={_total('crc_rejects')} "
+            f"torn={_total('torn_detected')} "
+            f"repairs={_total('slot_repairs')} "
+            f"wire_rejects={_total('wire_rejects')} "
+            f"scrub_passes={_total('scrub_passes')}"
         )
-    print(f"settled: {'yes' if run.settled else 'NO'}")
-    _print_txn_counters(run.coordinator)
-    if args.per_method and run.result is not None:
-        for method in sorted(run.result.per_method):
-            series = run.result.per_method[method]
+        if args.fd_mode == "phi":
             print(
-                f"  {method:20s} mean={series.mean:8.3f}us "
-                f"p95={series.p95:8.3f}us p99={series.p99:8.3f}us "
-                f"p999={series.p999:8.3f}us n={series.count}"
+                f"gray: degraded={_total('peer_degraded')} "
+                f"phi_suspects={_total('fd_phi_suspects')} "
+                f"hedged={_total('hedged_reads')}/{_total('hedge_wins')} "
+                f"retries={_total('op_retries')} "
+                f"budget_exhausted={_total('retry_budget_exhausted')}"
             )
-    if args.stats:
-        _print_stats(run.cluster, run.recorder)
-    if args.trace is not None:
-        if args.trace.endswith(".jsonl"):
-            count = run.recorder.export_jsonl(args.trace)
-        else:
-            count = run.recorder.export_chrome(args.trace)
-        dropped = run.recorder.dropped()
-        print(f"trace: {count} events -> {args.trace}"
-              + (f" ({dropped} dropped)" if dropped else ""))
-    live_ok = _print_live(run)
-    if args.metrics_out is not None:
-        print(f"metrics -> {args.metrics_out}")
-    if args.check:
-        report = run.check()
-        print(report.summary())
-        if not report.ok:
-            return 2
-    return 0 if live_ok else 2
+        print(f"settled: {'yes' if run.settled else 'NO'}")
+
+    return _launch(args, run_chaos, config, plan, details=recovery)
+
+
+_RUN_COMMANDS = {"run": _cmd_run, "serve": _cmd_serve, "chaos": _cmd_chaos}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -991,8 +806,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_analyze(args)
     if args.command == "explore":
         return _cmd_explore(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    return _cmd_run(args)
+    # Configuration errors (plan, system, topology, workload, node
+    # name) raise ValueError before the run starts.
+    try:
+        return _RUN_COMMANDS[args.command](args)
+    except ValueError as exc:
+        print(exc)
+        return 1

@@ -34,6 +34,15 @@ class TestRunServing:
         assert run.result.slo is not None and run.result.slo.ok
         assert run.loop.system_label == "hamband"
 
+    def test_crashed_workers_raise(self, monkeypatch):
+        from repro.runtime import HambandCluster
+
+        monkeypatch.setattr(
+            HambandCluster, "failures", lambda self: ["p1/applier: boom"]
+        )
+        with pytest.raises(RuntimeError, match="background workers"):
+            serve()
+
     def test_live_check_streams_clean(self):
         run = serve(live_check=True)
         assert run.stream_report is not None

@@ -93,6 +93,47 @@ class TestRun:
     def test_unknown_workload_fails(self, capsys):
         assert main(["run", "nope", "--ops", "10"]) == 1
 
+    def test_unknown_fail_node_is_named(self, capsys):
+        # A bad node name must not be reported as a bad workload name.
+        assert main(
+            ["run", "gset", "--fail-node", "p9", "--ops", "100"]
+        ) == 1
+        out = capsys.readouterr().out
+        assert "p9" in out
+        assert "unknown workload" not in out
+        assert main(["run", "nope", "--ops", "10"]) == 1
+        assert "unknown workload" in capsys.readouterr().out
+
+    def test_scale_out_live_and_offline_checked(self, capsys):
+        assert main(
+            ["run", "gset", "--nodes", "3", "--ops", "600",
+             "--scale-out-at", "200", "--live-check", "--check"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "scale-out: joined p4" in out
+
+
+class TestChaos:
+    ARGS = ["chaos", "gset", "--faults", "crash-leader", "--nodes", "4",
+            "--ops", "300", "--horizon", "600", "--live-check", "--check"]
+
+    def test_crash_leader_live_and_offline_checked(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "plan: crash-leader" in out
+        assert "faults injected: crash=1, restart=1" in out
+        assert "settled: yes" in out
+
+    def test_saved_plan_replays_identically(self, capsys, tmp_path):
+        path = str(tmp_path / "plan.json")
+        assert main(self.ARGS + ["--save-plan", path]) == 0
+        saved = capsys.readouterr().out.splitlines()
+        assert saved[0].endswith(f"-> {path}")
+        args = list(self.ARGS)
+        args[args.index("crash-leader")] = path
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines() == saved[1:]
+
 
 class TestObservability:
     def test_stats_prints_rollup_and_phase_table(self, capsys):
@@ -105,6 +146,18 @@ class TestObservability:
         assert "per-phase latency" in out
         assert "decide" in out
         assert "apply" in out
+
+    def test_metrics_out_ends_with_final_record(self, capsys, tmp_path):
+        import json as _json
+
+        path = tmp_path / "metrics.jsonl"
+        assert main(
+            ["run", "counter", "--ops", "200", "--live-check",
+             "--metrics-out", str(path)]
+        ) == 0
+        assert f"metrics -> {path}" in capsys.readouterr().out
+        lines = path.read_text().strip().splitlines()
+        assert _json.loads(lines[-1])["final"] is True
 
     def test_trace_jsonl_export(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -258,3 +311,12 @@ class TestServe:
 
     def test_unknown_workload_fails(self, capsys):
         assert main(["serve", "nope", "--duration", "100"]) == 1
+
+    def test_fault_plan_under_serving(self, capsys):
+        assert main(
+            ["serve", "counter", "--duration", "300",
+             "--faults", "crash-leader", "--check"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "plan: crash-leader" in out
+        assert "OK" in out

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench import ExperimentConfig
-from repro.bench.runner import _build_sharded, _sharded_driver
+from repro.bench import ExperimentConfig, run_experiment
+from repro.bench.runner import _build, _sharded_driver
 from repro.sim import Environment
 from repro.workload import (
     ShardedDriverConfig,
@@ -76,7 +76,7 @@ class TestShardedWorkload:
             txn_mix=txn_mix,
         )
         env = Environment()
-        sharded, coordinator = _build_sharded(env, config)
+        sharded, coordinator = _build(env, config, None)
         driver = ShardedDriverConfig(
             total_txns=total_txns, txn_mix=txn_mix, seed=2, clients=4
         )
@@ -108,7 +108,7 @@ class TestShardedWorkload:
         assert driver.total_txns == 50
         assert driver.txn_mix == 0.2
         env = Environment()
-        sharded, _coordinator = _build_sharded(env, config)
+        sharded, _coordinator = _build(env, config, None)
         assert sharded.n_shards == 3
 
     def test_sharded_rejects_non_hamband_systems(self):
@@ -116,4 +116,4 @@ class TestShardedWorkload:
             system="mu", workload="sharded-bank", n_shards=2,
         )
         with pytest.raises(ValueError, match="hamband"):
-            _build_sharded(Environment(), config)
+            run_experiment(config)
